@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race check fuzz bench benchsmoke loadsmoke chaossmoke dessmoke treesmoke recoordsmoke verify-invariants cover telemetry-alloc fastpath-alloc
+.PHONY: all build test vet race check fuzz bench benchsmoke loadsmoke chaossmoke dessmoke treesmoke recoordsmoke verify-invariants cover telemetry-alloc fastpath-alloc memo-hitrate
 
 all: check
 
@@ -87,7 +87,16 @@ fastpath-alloc:
 		awk '/BenchmarkBinaryFastPath/ { if ($$(NF-1)+0 != 0) { print "FAIL: binary fast path allocates:", $$0; exit 1 } found=1 } \
 		END { if (!found) { print "FAIL: BenchmarkBinaryFastPath did not run"; exit 1 } }'
 
-check: vet build race benchsmoke loadsmoke chaossmoke dessmoke treesmoke recoordsmoke verify-invariants telemetry-alloc fastpath-alloc
+# The evalpool memo must serve a repeated-key mix: 4000 exact /v1/coord
+# computations over 256 distinct (pair, budget) keys on a fresh engine,
+# resolving names per call as the service does, must hit the memo at
+# least 90% of the time. A memo key that depends on anything but the
+# problem's content (such as spec pointer addresses) drops it to a few
+# percent.
+memo-hitrate:
+	$(GO) test -run '^TestMemoHitRate$$' -count=1 -v ./internal/allocsvc
+
+check: vet build race benchsmoke loadsmoke chaossmoke dessmoke treesmoke recoordsmoke verify-invariants telemetry-alloc fastpath-alloc memo-hitrate
 
 # Coverage gates: internal/telemetry must keep at least 70% statement
 # coverage, and internal/powertree (the budget-tree solver) and

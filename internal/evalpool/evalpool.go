@@ -25,7 +25,6 @@ package evalpool
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -64,21 +63,13 @@ type Request struct {
 }
 
 // Problem names the fixed half of an evaluation: the machine and the
-// workload. The engine fingerprints both by content, so two problems
-// with equal names but different parameters (e.g. a calibrated workload
-// variant) never share cache entries.
+// workload. The engine keys its memo by the problem's content (see
+// fingerprint), so two problems with equal names but different
+// parameters (e.g. a calibrated workload variant) never share cache
+// entries, while separate lookups of the same catalog entry do.
 type Problem struct {
 	Platform hw.Platform
 	Workload workload.Workload
-}
-
-// fingerprint hashes the problem content. The %+v rendering
-// dereferences the platform's spec pointers and includes every field of
-// every phase, so any parameter change yields a new key space.
-func (pr *Problem) fingerprint() uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%+v|%+v", pr.Platform, pr.Workload)
-	return h.Sum64()
 }
 
 // Options configures an Engine.

@@ -340,17 +340,32 @@ func AllPlatforms() []Platform {
 	return append(Platforms(), Modern()...)
 }
 
-// PlatformByName looks up a platform by its short name. The error lists
-// the valid names.
+// platformTable maps every modeled platform's short name to its
+// constructor, in AllPlatforms order, so a lookup builds only the
+// platform it returns.
+var platformTable = []struct {
+	name  string
+	build func() Platform
+}{
+	{"ivybridge", IvyBridge},
+	{"haswell", Haswell},
+	{"titanxp", TitanXP},
+	{"titanv", TitanV},
+	{"h100", H100},
+	{"h200", H200},
+}
+
+// PlatformByName looks up a platform by its short name and returns a
+// freshly built value. The error lists the valid names.
 func PlatformByName(name string) (Platform, error) {
-	for _, p := range AllPlatforms() {
-		if p.Name == name {
-			return p, nil
+	for _, e := range platformTable {
+		if e.name == name {
+			return e.build(), nil
 		}
 	}
-	var names []string
-	for _, p := range AllPlatforms() {
-		names = append(names, p.Name)
+	names := make([]string, len(platformTable))
+	for i, e := range platformTable {
+		names[i] = e.name
 	}
 	sort.Strings(names)
 	return Platform{}, fmt.Errorf("unknown platform %q (valid: %v)", name, names)

@@ -85,12 +85,16 @@ type State struct {
 type Governor struct {
 	gpu      *hw.GPUSpec
 	settings Settings
+	// smClocks is the card's SM DVFS ladder, built once so actuation
+	// allocates nothing. The spec must not be mutated while the
+	// governor is in use.
+	smClocks []units.Frequency
 }
 
 // New returns a governor for the card with default settings: TDP cap,
 // zero offsets (memory at nominal clock — the default driver policy).
 func New(gpu *hw.GPUSpec) *Governor {
-	return &Governor{gpu: gpu, settings: Settings{PowerCap: gpu.TDP}}
+	return &Governor{gpu: gpu, settings: Settings{PowerCap: gpu.TDP}, smClocks: gpu.SMClocks()}
 }
 
 // GPU returns the card spec the governor manages.
@@ -155,9 +159,8 @@ func (g *Governor) Actuate(act float64) State {
 	maxSM := g.smMaxClock()
 	cap := g.settings.PowerCap
 
-	clocks := g.gpu.SMClocks()
-	for i := len(clocks) - 1; i >= 0; i-- {
-		f := clocks[i]
+	for i := len(g.smClocks) - 1; i >= 0; i-- {
+		f := g.smClocks[i]
 		if f > maxSM {
 			continue
 		}

@@ -50,12 +50,20 @@ type Controller struct {
 	cpu  *hw.CPUSpec
 	dram *hw.DRAMSpec
 	msrs *RegisterFile
+	// pstates and duties are the CPU's P-state and T-state ladders,
+	// built once so actuation allocates nothing. The specs must not be
+	// mutated while the controller is in use.
+	pstates []units.Frequency
+	duties  []float64
 }
 
 // NewController returns a controller for the given CPU-node component
 // specs.
 func NewController(cpu *hw.CPUSpec, dram *hw.DRAMSpec) *Controller {
-	return &Controller{cpu: cpu, dram: dram, msrs: NewRegisterFile()}
+	return &Controller{
+		cpu: cpu, dram: dram, msrs: NewRegisterFile(),
+		pstates: cpu.PStates(), duties: cpu.Duties(),
+	}
 }
 
 // MSRs exposes the emulated register file (for tools that want the
@@ -107,14 +115,13 @@ func (c *Controller) ActuatePackage(act float64) PackageState {
 		return PackageState{Freq: c.cpu.FNom, Duty: 1}
 	}
 	// Highest P-state under the cap, no throttling.
-	pstates := c.cpu.PStates()
-	for i := len(pstates) - 1; i >= 0; i-- {
-		if c.cpu.Power(pstates[i], 1, act) <= cap {
-			return PackageState{Freq: pstates[i], Duty: 1}
+	for i := len(c.pstates) - 1; i >= 0; i-- {
+		if c.cpu.Power(c.pstates[i], 1, act) <= cap {
+			return PackageState{Freq: c.pstates[i], Duty: 1}
 		}
 	}
 	// Lowest P-state still over the cap: engage T-states at FMin.
-	for _, duty := range c.cpu.Duties()[1:] {
+	for _, duty := range c.duties[1:] {
 		if c.cpu.Power(c.cpu.FMin, duty, act) <= cap {
 			return PackageState{Freq: c.cpu.FMin, Duty: duty, Throttled: true}
 		}

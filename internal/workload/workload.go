@@ -227,18 +227,25 @@ func (w Workload) Normalized() (Workload, error) {
 	return out, nil
 }
 
+// prototypes holds one copy of every modeled workload, built once so a
+// lookup does not rebuild the whole model set. It never leaves the
+// package: ByName hands out copies with their own phase slice.
+var prototypes = AllWorkloads()
+
 // ByName returns the workload with the given name from the full model
-// set (the Table 3 catalog plus the ML inference additions). The error
-// lists valid names.
+// set (the Table 3 catalog plus the ML inference additions) as a fresh
+// value the caller may modify. The error lists valid names.
 func ByName(name string) (Workload, error) {
-	for _, w := range AllWorkloads() {
-		if w.Name == name {
+	for i := range prototypes {
+		if prototypes[i].Name == name {
+			w := prototypes[i]
+			w.Phases = append([]Phase(nil), w.Phases...)
 			return w, nil
 		}
 	}
-	var names []string
-	for _, w := range AllWorkloads() {
-		names = append(names, w.Name)
+	names := make([]string, len(prototypes))
+	for i := range prototypes {
+		names[i] = prototypes[i].Name
 	}
 	sort.Strings(names)
 	return Workload{}, fmt.Errorf("unknown workload %q (valid: %v)", name, names)
