@@ -42,10 +42,14 @@ chaossmoke:
 
 # Discrete-event simulator gate under the race detector: the golden
 # round-loop equivalence (exact engine == RunQueue/RunQueueFaulty, byte
-# for byte) and replay determinism (same seed, same trace hash), then a
-# seeded DES run through the pbc CLI with a replay check.
+# for byte), replay determinism (same seed, same trace hash), the pinned
+# trace hashes and fault schedules, and the lazy-schedule allocation
+# bounds (a run's fault schedule costs what the run reaches, not what its
+# horizon spans), then a seeded DES run through the pbc CLI with a
+# replay check.
 dessmoke:
-	$(GO) test -race -run 'TestGoldenEquivalence|TestReplayDeterminism' -count=1 ./internal/des
+	$(GO) test -race -run 'TestGoldenEquivalence|TestReplayDeterminism|TestTraceHashGolden|TestFaultScheduleAllocBounded' -count=1 ./internal/des
+	$(GO) test -race -run 'TestScheduleGolden|TestOutageStreamMatchesSortedSchedule|TestStreamAllocIndependentOfHorizon' -count=1 ./internal/faults
 	$(GO) run -race ./cmd/pbc des -nodes 64 -horizon 600 -seed 7 \
 		-arrival-spec "rate=0.2,burst=2,units=2e12" \
 		-fault-spec "shock.mtbs=120,shock.frac=0.25,shock.len=20" -replay-check

@@ -1,8 +1,10 @@
 // Command benchdes benchmarks the discrete-event traffic simulator and
 // writes BENCH_des.json: a seeded 10k-node, million-job run through the
 // fast engine, with event/job throughput, the trace hash, and a replay
-// check (the run executes twice and must reproduce the hash bit for
-// bit).
+// check. The scheduler's profiles are prewarmed first, then one cold run
+// (the first des.Run of the process) and a few warm runs are timed
+// separately; every warm run must reproduce the cold run's hash bit for
+// bit, or no report is written.
 //
 // Usage:
 //
@@ -16,6 +18,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"sort"
 	"time"
 
 	"repro/internal/cluster"
@@ -50,13 +54,26 @@ type Report struct {
 	Shocks        int     `json:"shocks"`
 	Readmissions  int     `json:"readmissions"`
 
-	WallMS       float64 `json:"wall_ms"`
-	EventsPerSec float64 `json:"events_per_sec"`
-	JobsPerSec   float64 `json:"jobs_per_sec"`
-	TraceHash    string  `json:"trace_hash"`
-	ReplayOK     bool    `json:"replay_ok"`
-	ReplayWallMS float64 `json:"replay_wall_ms"`
+	// The host the numbers were measured on.
+	NumCPU     int    `json:"nproc"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
+
+	// PrewarmMS is the scheduler profile prewarm; ColdWallMS the first
+	// des.Run of the process; WarmWallMS the median of the warmRuns runs
+	// after it. Throughputs are per phase: cold start never mixes into
+	// the warm numbers.
+	PrewarmMS        float64 `json:"prewarm_ms"`
+	ColdWallMS       float64 `json:"cold_wall_ms"`
+	WarmWallMS       float64 `json:"warm_wall_ms"`
+	ColdEventsPerSec float64 `json:"cold_events_per_sec"`
+	WarmEventsPerSec float64 `json:"warm_events_per_sec"`
+	WarmJobsPerSec   float64 `json:"warm_jobs_per_sec"`
+	TraceHash        string  `json:"trace_hash"`
 }
+
+// warmRuns is the number of timed runs after the cold one.
+const warmRuns = 3
 
 func main() {
 	out := flag.String("o", "BENCH_des.json", "output path (\"-\" for stdout)")
@@ -116,21 +133,36 @@ func run(out string, nNodes int, budget float64, platName, wlName, arrival, faul
 	}
 
 	start := time.Now()
+	if err := sched.Prewarm([]workload.Workload{w}); err != nil {
+		return err
+	}
+	prewarm := time.Since(start)
+
+	start = time.Now()
 	res, err := des.Run(cfg)
 	if err != nil {
 		return err
 	}
-	wall := time.Since(start)
+	cold := time.Since(start)
 
-	start = time.Now()
-	again, err := des.Run(cfg)
-	if err != nil {
-		return fmt.Errorf("replay: %w", err)
+	warmWalls := make([]time.Duration, warmRuns)
+	for i := range warmWalls {
+		start = time.Now()
+		again, err := des.Run(cfg)
+		if err != nil {
+			return fmt.Errorf("warm run %d: %w", i+1, err)
+		}
+		warmWalls[i] = time.Since(start)
+		if again.TraceHash != res.TraceHash || again.Makespan != res.Makespan {
+			return fmt.Errorf("warm run %d diverged: trace %016x vs %016x", i+1, again.TraceHash, res.TraceHash)
+		}
 	}
-	replayWall := time.Since(start)
+	sort.Slice(warmWalls, func(i, j int) bool { return warmWalls[i] < warmWalls[j] })
+	warmWall := warmWalls[len(warmWalls)/2] // the median
+	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 }
 
 	rep := Report{
-		Schema:      "pbc-des-bench/1",
+		Schema:      "pbc-des-bench/2",
 		Platform:    p.Name,
 		Workload:    w.Name,
 		Nodes:       nNodes,
@@ -151,15 +183,17 @@ func run(out string, nNodes int, budget float64, platName, wlName, arrival, faul
 		Shocks:        res.Faults.Shocks,
 		Readmissions:  res.Faults.Readmissions,
 
-		WallMS:       float64(wall.Microseconds()) / 1e3,
-		EventsPerSec: float64(res.EngineEvents) / wall.Seconds(),
-		JobsPerSec:   float64(res.Completed) / wall.Seconds(),
-		TraceHash:    fmt.Sprintf("%016x", res.TraceHash),
-		ReplayOK:     again.TraceHash == res.TraceHash && again.Makespan == res.Makespan,
-		ReplayWallMS: float64(replayWall.Microseconds()) / 1e3,
-	}
-	if !rep.ReplayOK {
-		return fmt.Errorf("replay diverged: trace %016x vs %016x", res.TraceHash, again.TraceHash)
+		NumCPU:     runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		GoVersion:  runtime.Version(),
+
+		PrewarmMS:        ms(prewarm),
+		ColdWallMS:       ms(cold),
+		WarmWallMS:       ms(warmWall),
+		ColdEventsPerSec: float64(res.EngineEvents) / cold.Seconds(),
+		WarmEventsPerSec: float64(res.EngineEvents) / warmWall.Seconds(),
+		WarmJobsPerSec:   float64(res.Completed) / warmWall.Seconds(),
+		TraceHash:        fmt.Sprintf("%016x", res.TraceHash),
 	}
 
 	b, err := json.MarshalIndent(rep, "", "  ")
@@ -174,8 +208,9 @@ func run(out string, nNodes int, budget float64, platName, wlName, arrival, faul
 	if err := os.WriteFile(out, b, 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("benchdes: %d jobs, %d events in %v (%.3gM events/s, %.3gk jobs/s), replay OK -> %s\n",
-		rep.JobsCompleted, rep.EngineEvents, wall.Round(time.Millisecond),
-		rep.EventsPerSec/1e6, rep.JobsPerSec/1e3, out)
+	fmt.Printf("benchdes: %d jobs, %d events; prewarm %v, cold %v (%.3gM events/s), warm %v (%.3gM events/s), replay OK -> %s\n",
+		rep.JobsCompleted, rep.EngineEvents, prewarm.Round(time.Millisecond),
+		cold.Round(time.Millisecond), rep.ColdEventsPerSec/1e6,
+		warmWall.Round(time.Millisecond), rep.WarmEventsPerSec/1e6, out)
 	return nil
 }

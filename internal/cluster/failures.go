@@ -77,51 +77,22 @@ func (s *Scheduler) RunQueueFaulty(jobs []TimedJob, policy SplitPolicy, disc Dis
 		}
 	}
 
-	// Fault schedules are precomputed over a horizon scaled from the
-	// total work so they cover any plausible makespan; outages beyond
-	// the finish time simply never fire.
-	horizon := s.faultHorizon(jobs)
-
-	type outageEvent struct {
-		at     float64
-		nodeID string
-		up     bool // false = failure, true = recovery
+	// Fault schedules are drawn lazily up to a horizon scaled from the
+	// total work; outages and shocks past the finish are never drawn.
+	var totalUnits float64
+	for _, j := range jobs {
+		totalUnits += j.Units
 	}
-	var outages []outageEvent
+	horizon := FaultHorizon(totalUnits)
+	// Outage ties break by node ID: the stream orders by position in
+	// the sorted IDs.
 	nodeIDs := make([]string, 0, len(s.Nodes))
 	for _, n := range s.Nodes {
 		nodeIDs = append(nodeIDs, n.ID)
 	}
 	sort.Strings(nodeIDs)
-	for _, id := range nodeIDs {
-		for _, o := range inj.NodeOutages(id, horizon) {
-			outages = append(outages, outageEvent{at: o.At, nodeID: id, up: false})
-			if !math.IsInf(o.Duration, 1) {
-				outages = append(outages, outageEvent{at: o.At + o.Duration, nodeID: id, up: true})
-			}
-		}
-	}
-	sort.SliceStable(outages, func(i, j int) bool {
-		if outages[i].at != outages[j].at {
-			return outages[i].at < outages[j].at
-		}
-		// Recoveries before failures at equal times; then by node ID.
-		if outages[i].up != outages[j].up {
-			return outages[i].up
-		}
-		return outages[i].nodeID < outages[j].nodeID
-	})
-
-	type shockEvent struct {
-		at    float64
-		delta units.Power // pool change: negative at shock start
-	}
-	var shocks []shockEvent
-	for _, sh := range inj.BudgetShocks(horizon) {
-		delta := units.Power(s.Budget.Watts() * sh.Frac)
-		shocks = append(shocks, shockEvent{at: sh.At, delta: -delta})
-		shocks = append(shocks, shockEvent{at: sh.At + sh.Duration, delta: delta})
-	}
+	outages := inj.Outages(nodeIDs, horizon)
+	shocks := inj.ShockEdges(horizon)
 
 	pool := s.Budget
 	freeNodes := append([]Node(nil), s.Nodes...)
@@ -220,7 +191,6 @@ func (s *Scheduler) RunQueueFaulty(jobs []TimedJob, policy SplitPolicy, disc Dis
 			s.Budget, ErrStarved)
 	}
 
-	oi, si := 0, 0 // next outage / shock event indices
 	for steps := 0; len(active) > 0 || len(waiting) > 0; steps++ {
 		conserve()
 		if steps >= maxEngineEvents {
@@ -234,14 +204,8 @@ func (s *Scheduler) RunQueueFaulty(jobs []TimedJob, policy SplitPolicy, disc Dis
 				nextDone, di = t, i
 			}
 		}
-		nextOutage := math.Inf(1)
-		if oi < len(outages) {
-			nextOutage = outages[oi].at - now
-		}
-		nextShock := math.Inf(1)
-		if si < len(shocks) {
-			nextShock = shocks[si].at - now
-		}
+		nextOutage := outages.At() - now
+		nextShock := shocks.At() - now
 
 		if math.IsInf(nextDone, 1) && math.IsInf(nextOutage, 1) && math.IsInf(nextShock, 1) {
 			return res, fmt.Errorf("cluster: %d job(s) can never start (%d node(s) down, pool %v): %w",
@@ -256,40 +220,40 @@ func (s *Scheduler) RunQueueFaulty(jobs []TimedJob, policy SplitPolicy, disc Dis
 
 		switch {
 		case nextOutage <= nextDone && nextOutage <= nextShock:
-			ev := outages[oi]
-			oi++
+			ev, _ := outages.Next()
+			nodeID := nodeIDs[ev.Node]
 			advance(nextOutage)
-			if ev.up {
-				if !down[ev.nodeID] {
+			if ev.Up {
+				if !down[nodeID] {
 					continue // node was never taken down (e.g. duplicate)
 				}
-				delete(down, ev.nodeID)
-				node, ok := s.nodeByID(ev.nodeID)
+				delete(down, nodeID)
+				node, ok := s.nodeByID(nodeID)
 				if !ok {
 					continue
 				}
 				freeNodes = append(freeNodes, node)
 				res.Faults.NodeRecoveries++
 				mNodeRecoveries.Inc()
-				res.Events = append(res.Events, Event{Time: now, Kind: "recover", NodeID: ev.nodeID})
-				log.Record(now, "node-recover", ev.nodeID, "node back in service")
+				res.Events = append(res.Events, Event{Time: now, Kind: "recover", NodeID: nodeID})
+				log.Record(now, "node-recover", nodeID, "node back in service")
 				if err := admit(); err != nil {
 					return res, err
 				}
 				continue
 			}
-			if down[ev.nodeID] {
+			if down[nodeID] {
 				continue
 			}
-			down[ev.nodeID] = true
+			down[nodeID] = true
 			res.Faults.NodeFailures++
 			mNodeFailures.Inc()
-			res.Events = append(res.Events, Event{Time: now, Kind: "fail", NodeID: ev.nodeID})
-			log.Record(now, "node-fail", ev.nodeID, "node lost")
+			res.Events = append(res.Events, Event{Time: now, Kind: "fail", NodeID: nodeID})
+			log.Record(now, "node-fail", nodeID, "node lost")
 			// Remove from the free pool if idle, or evict its job.
 			removed := false
 			for i, n := range freeNodes {
-				if n.ID == ev.nodeID {
+				if n.ID == nodeID {
 					freeNodes = append(freeNodes[:i], freeNodes[i+1:]...)
 					removed = true
 					break
@@ -297,7 +261,7 @@ func (s *Scheduler) RunQueueFaulty(jobs []TimedJob, policy SplitPolicy, disc Dis
 			}
 			if !removed {
 				for i, r := range active {
-					if r.Node.ID == ev.nodeID {
+					if r.Node.ID == nodeID {
 						evict(i, "node failure", false)
 						break
 					}
@@ -310,15 +274,15 @@ func (s *Scheduler) RunQueueFaulty(jobs []TimedJob, policy SplitPolicy, disc Dis
 			}
 
 		case nextShock <= nextDone:
-			ev := shocks[si]
-			si++
+			ev, _ := shocks.Next()
 			advance(nextShock)
-			pool += ev.delta
-			shockHeld -= ev.delta
-			if ev.delta < 0 {
+			delta := ShockDelta(s.Budget, ev)
+			pool += delta
+			shockHeld -= delta
+			if delta < 0 {
 				res.Faults.Shocks++
 				mShocks.Inc()
-				log.Recordf(now, "budget-shock", "facility", "pool reduced by %v", -ev.delta)
+				log.Recordf(now, "budget-shock", "facility", "pool reduced by %v", -delta)
 				// Evict most recently started jobs until the committed
 				// grants fit the shrunken budget again.
 				for pool < 0 && len(active) > 0 {
@@ -331,7 +295,7 @@ func (s *Scheduler) RunQueueFaulty(jobs []TimedJob, policy SplitPolicy, disc Dis
 					evict(latest, "budget shock", true)
 				}
 			} else {
-				log.Recordf(now, "budget-restore", "facility", "pool restored by %v", ev.delta)
+				log.Recordf(now, "budget-restore", "facility", "pool restored by %v", delta)
 			}
 			if err := admit(); err != nil {
 				return res, err
@@ -372,21 +336,29 @@ func (s *Scheduler) nodeByID(id string) (Node, bool) {
 	return Node{}, false
 }
 
-// faultHorizon estimates an upper bound on the makespan for fault
-// scheduling: total work at the slowest plausible rate, padded 4x, with
-// a floor of one hour. Deterministic in the inputs.
-func (s *Scheduler) faultHorizon(jobs []TimedJob) float64 {
-	var totalUnits float64
-	for _, j := range jobs {
-		totalUnits += j.Units
-	}
-	// A conservative rate guess: 1e9 units/s. Catalog workloads run at
-	// 1e10-1e11 units/s even under tight grants, so the 4x-padded horizon
-	// comfortably covers the makespan without precomputing millions of
-	// fault events the run will never reach.
+// FaultHorizon bounds the fault schedules of a run with totalUnits of
+// work: the work at the slowest plausible rate, padded 4x, with a floor
+// of one hour. A conservative rate guess is 1e9 units/s; catalog
+// workloads run at 1e10-1e11 units/s even under tight grants. Schedules
+// are drawn lazily, so the horizon costs nothing by itself: it only ends
+// the fault streams, so that a queue no event can unblock is reported
+// starved instead of waiting on faults forever. Callers sum totalUnits
+// in job order; the DES exact engine must reproduce this loop's
+// schedules bit for bit.
+func FaultHorizon(totalUnits float64) float64 {
 	h := 4 * totalUnits / 1e9
 	if h < 3600 {
 		h = 3600
 	}
 	return h
+}
+
+// ShockDelta is the pool change at a shock edge: the shock's fraction of
+// the cluster budget, negative at its start and positive at its end.
+func ShockDelta(budget units.Power, e faults.ShockEdge) units.Power {
+	delta := units.Power(budget.Watts() * e.Frac)
+	if !e.End {
+		delta = -delta
+	}
+	return delta
 }

@@ -229,15 +229,3 @@ func (a *agg) fill(res *Result) {
 		res.MaxSlowdown = 1
 	}
 }
-
-// faultHorizon mirrors Scheduler.faultHorizon: total work at a
-// conservative 1e9 units/s, padded 4x, floored at one hour. The exact
-// engine must reproduce the round loop's fault schedules, so the
-// formula — including the accumulation order — matches failures.go.
-func faultHorizon(totalUnits float64) float64 {
-	h := 4 * totalUnits / 1e9
-	if h < 3600 {
-		h = 3600
-	}
-	return h
-}

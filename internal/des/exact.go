@@ -53,9 +53,9 @@ func runExact(cfg Config, arrs []jobArrival) (Result, error) {
 	hash := newTraceHash()
 	var stats agg
 
-	// Fault schedules, precomputed exactly as the round loop does: the
-	// horizon accumulates total work in input order (t=0 jobs first,
-	// then the generated trace).
+	// Fault schedules, drawn lazily exactly as the round loop draws
+	// them: the horizon accumulates total work in input order (t=0 jobs
+	// first, then the generated trace), and outage ties break by node ID.
 	var totalUnits float64
 	for _, j := range cfg.Jobs {
 		totalUnits += j.Units
@@ -63,48 +63,14 @@ func runExact(cfg Config, arrs []jobArrival) (Result, error) {
 	for _, a := range arrs {
 		totalUnits += a.units
 	}
-	horizon := faultHorizon(totalUnits)
-
-	type outageEvent struct {
-		at     float64
-		nodeID string
-		up     bool
+	horizon := cluster.FaultHorizon(totalUnits)
+	nodeIDs := make([]string, 0, len(s.Nodes))
+	for _, n := range s.Nodes {
+		nodeIDs = append(nodeIDs, n.ID)
 	}
-	var outages []outageEvent
-	type shockEvent struct {
-		at    float64
-		delta units.Power
-	}
-	var shocks []shockEvent
-	if cfg.Injector != nil {
-		nodeIDs := make([]string, 0, len(s.Nodes))
-		for _, n := range s.Nodes {
-			nodeIDs = append(nodeIDs, n.ID)
-		}
-		sort.Strings(nodeIDs)
-		for _, id := range nodeIDs {
-			for _, o := range cfg.Injector.NodeOutages(id, horizon) {
-				outages = append(outages, outageEvent{at: o.At, nodeID: id, up: false})
-				if !math.IsInf(o.Duration, 1) {
-					outages = append(outages, outageEvent{at: o.At + o.Duration, nodeID: id, up: true})
-				}
-			}
-		}
-		sort.SliceStable(outages, func(i, j int) bool {
-			if outages[i].at != outages[j].at {
-				return outages[i].at < outages[j].at
-			}
-			if outages[i].up != outages[j].up {
-				return outages[i].up
-			}
-			return outages[i].nodeID < outages[j].nodeID
-		})
-		for _, sh := range cfg.Injector.BudgetShocks(horizon) {
-			delta := units.Power(s.Budget.Watts() * sh.Frac)
-			shocks = append(shocks, shockEvent{at: sh.At, delta: -delta})
-			shocks = append(shocks, shockEvent{at: sh.At + sh.Duration, delta: delta})
-		}
-	}
+	sort.Strings(nodeIDs)
+	outages := cfg.Injector.Outages(nodeIDs, horizon)
+	shocks := cfg.Injector.ShockEdges(horizon)
 
 	pool := s.Budget
 	freeNodes := append([]cluster.Node(nil), s.Nodes...)
@@ -190,7 +156,7 @@ func runExact(cfg Config, arrs []jobArrival) (Result, error) {
 			s.Budget, cluster.ErrStarved)
 	}
 
-	oi, si, ai := 0, 0, 0 // next outage / shock / arrival indices
+	ai := 0 // next arrival index
 	steps := 0
 	for ; len(active) > 0 || len(waiting) > 0 || ai < len(arrs); steps++ {
 		conserve()
@@ -204,14 +170,8 @@ func runExact(cfg Config, arrs []jobArrival) (Result, error) {
 				nextDone, di = t, i
 			}
 		}
-		nextOutage := math.Inf(1)
-		if oi < len(outages) {
-			nextOutage = outages[oi].at - now
-		}
-		nextShock := math.Inf(1)
-		if si < len(shocks) {
-			nextShock = shocks[si].at - now
-		}
+		nextOutage := outages.At() - now
+		nextShock := shocks.At() - now
 		nextArr := math.Inf(1)
 		if ai < len(arrs) {
 			nextArr = arrs[ai].at - now
@@ -232,37 +192,37 @@ func runExact(cfg Config, arrs []jobArrival) (Result, error) {
 
 		switch {
 		case nextOutage <= nextDone && nextOutage <= nextShock && nextOutage <= nextArr:
-			ev := outages[oi]
-			oi++
+			ev, _ := outages.Next()
+			nodeID := nodeIDs[ev.Node]
 			advance(nextOutage)
-			if ev.up {
-				if !down[ev.nodeID] {
+			if ev.Up {
+				if !down[nodeID] {
 					continue
 				}
-				delete(down, ev.nodeID)
-				node, ok := nodeByID(s, ev.nodeID)
+				delete(down, nodeID)
+				node, ok := nodeByID(s, nodeID)
 				if !ok {
 					continue
 				}
 				freeNodes = append(freeNodes, node)
 				res.Faults.NodeRecoveries++
-				res.Events = append(res.Events, cluster.Event{Time: now, Kind: "recover", NodeID: ev.nodeID})
-				hash.event(now, evNodeUp, -1, nodeIndex[ev.nodeID])
+				res.Events = append(res.Events, cluster.Event{Time: now, Kind: "recover", NodeID: nodeID})
+				hash.event(now, evNodeUp, -1, nodeIndex[nodeID])
 				if err := admit(); err != nil {
 					return out, err
 				}
 				continue
 			}
-			if down[ev.nodeID] {
+			if down[nodeID] {
 				continue
 			}
-			down[ev.nodeID] = true
+			down[nodeID] = true
 			res.Faults.NodeFailures++
-			res.Events = append(res.Events, cluster.Event{Time: now, Kind: "fail", NodeID: ev.nodeID})
-			hash.event(now, evNodeFail, -1, nodeIndex[ev.nodeID])
+			res.Events = append(res.Events, cluster.Event{Time: now, Kind: "fail", NodeID: nodeID})
+			hash.event(now, evNodeFail, -1, nodeIndex[nodeID])
 			removed := false
 			for i, n := range freeNodes {
-				if n.ID == ev.nodeID {
+				if n.ID == nodeID {
 					freeNodes = append(freeNodes[:i], freeNodes[i+1:]...)
 					removed = true
 					break
@@ -270,7 +230,7 @@ func runExact(cfg Config, arrs []jobArrival) (Result, error) {
 			}
 			if !removed {
 				for i, r := range active {
-					if r.Node.ID == ev.nodeID {
+					if r.Node.ID == nodeID {
 						evict(i, false)
 						break
 					}
@@ -281,12 +241,12 @@ func runExact(cfg Config, arrs []jobArrival) (Result, error) {
 			}
 
 		case nextShock <= nextDone && nextShock <= nextArr:
-			ev := shocks[si]
-			si++
+			ev, _ := shocks.Next()
 			advance(nextShock)
-			pool += ev.delta
-			shockHeld -= ev.delta
-			if ev.delta < 0 {
+			delta := cluster.ShockDelta(s.Budget, ev)
+			pool += delta
+			shockHeld -= delta
+			if delta < 0 {
 				res.Faults.Shocks++
 				hash.event(now, evShock, -1, -1)
 				for pool < 0 && len(active) > 0 {

@@ -3,7 +3,6 @@ package des
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/cluster"
 	"repro/internal/units"
@@ -168,55 +167,19 @@ func runFast(cfg Config, arrs []jobArrival) (Result, error) {
 	qHead, qArrived := 0, len(cfg.Jobs) // FIFO window [qHead, qArrived)
 	var readmit []int32                 // evictions re-enter here, LIFO like the round loop's head prepend
 
-	// Fault schedules over the same horizon formula as the round loop,
-	// pre-resolved to node indices.
+	// Fault schedules over the same horizon as the round loop, drawn
+	// lazily; outage ties break by node index.
 	var totalUnits float64
 	for i := range jobs {
 		totalUnits += jobs[i].units
 	}
-	horizon := faultHorizon(totalUnits)
-	type outageEvent struct {
-		at   float64
-		node int32
-		up   bool
+	horizon := cluster.FaultHorizon(totalUnits)
+	ids := make([]string, len(s.Nodes))
+	for i, n := range s.Nodes {
+		ids[i] = n.ID
 	}
-	var outages []outageEvent
-	type shockEvent struct {
-		at    float64
-		delta units.Power
-	}
-	var shocks []shockEvent
-	if cfg.Injector != nil {
-		ids := make([]string, 0, len(s.Nodes))
-		byID := make(map[string]int32, len(s.Nodes))
-		for i, n := range s.Nodes {
-			ids = append(ids, n.ID)
-			byID[n.ID] = int32(i)
-		}
-		sort.Strings(ids)
-		for _, id := range ids {
-			for _, o := range cfg.Injector.NodeOutages(id, horizon) {
-				outages = append(outages, outageEvent{at: o.At, node: byID[id], up: false})
-				if !math.IsInf(o.Duration, 1) {
-					outages = append(outages, outageEvent{at: o.At + o.Duration, node: byID[id], up: true})
-				}
-			}
-		}
-		sort.SliceStable(outages, func(i, j int) bool {
-			if outages[i].at != outages[j].at {
-				return outages[i].at < outages[j].at
-			}
-			if outages[i].up != outages[j].up {
-				return outages[i].up
-			}
-			return outages[i].node < outages[j].node
-		})
-		for _, sh := range cfg.Injector.BudgetShocks(horizon) {
-			delta := units.Power(s.Budget.Watts() * sh.Frac)
-			shocks = append(shocks, shockEvent{at: sh.At, delta: -delta})
-			shocks = append(shocks, shockEvent{at: sh.At + sh.Duration, delta: delta})
-		}
-	}
+	outages := cfg.Injector.Outages(ids, horizon)
+	shocks := cfg.Injector.ShockEdges(horizon)
 
 	pool := s.Budget
 	committed := units.Power(0)
@@ -400,7 +363,7 @@ func runFast(cfg Config, arrs []jobArrival) (Result, error) {
 			s.Budget, cluster.ErrStarved)
 	}
 
-	oi, si, ai := 0, 0, 0
+	ai := 0
 	steps := 0
 	for ; activeCount > 0 || queued() > 0 || ai < len(arrs); steps++ {
 		conserve()
@@ -408,14 +371,8 @@ func runFast(cfg Config, arrs []jobArrival) (Result, error) {
 			return out, fmt.Errorf("des: fast engine exceeded %d events (spec too hostile?)", cfg.MaxEvents)
 		}
 		nextDone := peekDone()
-		nextOutage := math.Inf(1)
-		if oi < len(outages) {
-			nextOutage = outages[oi].at
-		}
-		nextShock := math.Inf(1)
-		if si < len(shocks) {
-			nextShock = shocks[si].at
-		}
+		nextOutage := outages.At()
+		nextShock := shocks.At()
 		nextArr := math.Inf(1)
 		if ai < len(arrs) {
 			nextArr = arrs[ai].at
@@ -428,48 +385,48 @@ func runFast(cfg Config, arrs []jobArrival) (Result, error) {
 
 		switch {
 		case nextOutage <= nextDone && nextOutage <= nextShock && nextOutage <= nextArr:
-			ev := outages[oi]
-			oi++
-			if ev.at > now {
-				now = ev.at
+			ev, _ := outages.Next()
+			node := int32(ev.Node)
+			if ev.At > now {
+				now = ev.At
 			}
-			if ev.up {
-				if !down[ev.node] {
+			if ev.Up {
+				if !down[node] {
 					continue
 				}
-				down[ev.node] = false
-				free[classOf[ev.node]] = append(free[classOf[ev.node]], ev.node)
+				down[node] = false
+				free[classOf[node]] = append(free[classOf[node]], node)
 				faultSum.NodeRecoveries++
-				hash.event(now, evNodeUp, -1, ev.node)
+				hash.event(now, evNodeUp, -1, node)
 				if err := admit(); err != nil {
 					return out, err
 				}
 				continue
 			}
-			if down[ev.node] {
+			if down[node] {
 				continue
 			}
-			down[ev.node] = true
+			down[node] = true
 			faultSum.NodeFailures++
-			hash.event(now, evNodeFail, -1, ev.node)
-			if j := nodeJob[ev.node]; j >= 0 {
+			hash.event(now, evNodeFail, -1, node)
+			if j := nodeJob[node]; j >= 0 {
 				evictJob(j, false)
 			} else {
-				removeFree(ev.node)
+				removeFree(node)
 			}
 			if err := admit(); err != nil {
 				return out, err
 			}
 
 		case nextShock <= nextDone && nextShock <= nextArr:
-			ev := shocks[si]
-			si++
-			if ev.at > now {
-				now = ev.at
+			ev, _ := shocks.Next()
+			if ev.At > now {
+				now = ev.At
 			}
-			pool += ev.delta
-			shockHeld -= ev.delta
-			if ev.delta < 0 {
+			delta := cluster.ShockDelta(s.Budget, ev)
+			pool += delta
+			shockHeld -= delta
+			if delta < 0 {
 				faultSum.Shocks++
 				hash.event(now, evShock, -1, -1)
 				// Evict most recently started jobs until committed grants

@@ -439,6 +439,33 @@ func TestRunNodeUnderBudgetShocks(t *testing.T) {
 	}
 }
 
+// TestRunNodeShocksPastFourHours: a node run longer than four simulated
+// hours keeps being shocked. The shock schedule used to stop at a fixed
+// 4 h guess, so long runs silently ran unshocked.
+func TestRunNodeShocksPastFourHours(t *testing.T) {
+	p, w := runNodeFixture(t)
+	spec := Spec{ShockMTBS: 600, ShockFrac: 0.25, ShockLen: 60}
+	log := &trace.EventLog{}
+	// stream runs at about 8e10 units/s at 208 W: 2e15 units is ~7 h.
+	res, err := RunNode(p, w, 208, 2e15, 10*time.Second, NewInjector(spec, 3), log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const fourHours = 4 * 3600
+	if res.Elapsed.Seconds() <= fourHours {
+		t.Fatalf("run took %v, want longer than 4 h", res.Elapsed)
+	}
+	late := 0
+	for _, ev := range log.Events() {
+		if ev.Kind == "budget-shock" && ev.Time > fourHours {
+			late++
+		}
+	}
+	if late == 0 {
+		t.Fatalf("no budget shock after t = 4 h in a %v run (%d shocks in all)", res.Elapsed, res.Shocks)
+	}
+}
+
 func TestRunNodeRejectsBadArgs(t *testing.T) {
 	p, w := runNodeFixture(t)
 	if _, err := RunNode(p, w, 208, 0, time.Second, nil, nil); err == nil {

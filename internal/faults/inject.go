@@ -3,7 +3,6 @@ package faults
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/rapl"
 	"repro/internal/units"
@@ -104,29 +103,18 @@ type Outage struct {
 // NodeOutages returns the deterministic outage schedule for a node over
 // [0, horizon) seconds. The schedule depends only on (spec, seed,
 // nodeID): replaying with the same inputs reproduces it exactly, and
-// adding nodes does not perturb the schedules of existing ones.
+// adding nodes does not perturb the schedules of existing ones. It
+// drains the same per-node stream Outages merges.
 func (in *Injector) NodeOutages(nodeID string, horizon float64) []Outage {
 	if in == nil || in.spec.NodeMTBF <= 0 || horizon <= 0 {
 		return nil
 	}
-	rng := in.root.Fork("node/" + nodeID)
+	g := in.newOutageGen(nodeID, horizon)
 	var out []Outage
-	t := 0.0
-	for {
-		t += rng.Exp(in.spec.NodeMTBF)
-		if t >= horizon || math.IsInf(t, 1) {
-			return out
-		}
-		down := rng.Exp(in.spec.NodeMTTR)
-		if in.spec.NodeMTTR <= 0 {
-			down = math.Inf(1) // never repaired
-		}
-		out = append(out, Outage{At: t, Duration: down})
-		if math.IsInf(down, 1) {
-			return out
-		}
-		t += down
+	for o, ok := g.next(); ok; o, ok = g.next() {
+		out = append(out, o)
 	}
+	return out
 }
 
 // Shock is one facility budget shock: for Duration seconds starting at
@@ -136,29 +124,14 @@ type Shock struct {
 }
 
 // BudgetShocks returns the deterministic facility-shock schedule over
-// [0, horizon) seconds. Shocks never overlap.
+// [0, horizon) seconds, drained from Shocks. Shocks never overlap.
 func (in *Injector) BudgetShocks(horizon float64) []Shock {
-	if in == nil || in.spec.ShockMTBS <= 0 || in.spec.ShockFrac <= 0 || horizon <= 0 {
-		return nil
-	}
-	rng := in.root.Fork("budget.shock")
+	s := in.Shocks(horizon)
 	var out []Shock
-	t := 0.0
-	for {
-		t += rng.Exp(in.spec.ShockMTBS)
-		if t >= horizon || math.IsInf(t, 1) {
-			return out
-		}
-		d := rng.Exp(in.spec.ShockLen)
-		if in.spec.ShockLen <= 0 {
-			d = 0
-		}
-		if d <= 0 {
-			continue
-		}
-		out = append(out, Shock{At: t, Duration: d, Frac: in.spec.ShockFrac})
-		t += d
+	for sh, ok := s.Next(); ok; sh, ok = s.Next() {
+		out = append(out, sh)
 	}
+	return out
 }
 
 // FaultyController interposes the injector's actuator faults between a

@@ -2,6 +2,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/coord"
@@ -111,10 +112,10 @@ func RunNode(p hw.Platform, w workload.Workload, bound units.Power, totalUnits f
 		return core.Allocation{Proc: fs.Proc, Mem: fs.Mem}
 	}
 
-	// Shock schedule over a generous horizon (4x a pessimistic runtime
-	// guess); shocks past the actual finish never fire.
-	horizonGuess := 4 * 3600.0
-	shocks := inj.BudgetShocks(horizonGuess)
+	// The shock stream has no horizon: shocks are drawn as the run
+	// reaches them, however long it lasts.
+	shocks := inj.Shocks(math.Inf(1))
+	nextShock, shockPending := shocks.Next()
 
 	boundNow := bound
 	desired := split(bound)
@@ -177,7 +178,6 @@ func RunNode(p hw.Platform, w workload.Workload, bound units.Power, totalUnits f
 		return v, nil
 	}
 
-	shockIdx := 0
 	shockUntil := -1.0
 	elapsed := time.Duration(0)
 	for phaseIdx := range w.Phases {
@@ -196,9 +196,9 @@ func RunNode(p hw.Platform, w workload.Workload, bound units.Power, totalUnits f
 				wd.Bound = boundNow
 				log.Recordf(nowSec, "budget-restore", "node", "bound back to %v", boundNow)
 			}
-			if shockIdx < len(shocks) && nowSec >= shocks[shockIdx].At {
-				sh := shocks[shockIdx]
-				shockIdx++
+			if shockPending && nowSec >= nextShock.At {
+				sh := nextShock
+				nextShock, shockPending = shocks.Next()
 				shockUntil = sh.At + sh.Duration
 				boundNow = units.Power(bound.Watts() * (1 - sh.Frac))
 				desired = split(boundNow)
