@@ -43,12 +43,13 @@ chaossmoke:
 # Discrete-event simulator gate under the race detector: the golden
 # round-loop equivalence (exact engine == RunQueue/RunQueueFaulty, byte
 # for byte), replay determinism (same seed, same trace hash), the pinned
-# trace hashes and fault schedules, and the lazy-schedule allocation
-# bounds (a run's fault schedule costs what the run reaches, not what its
-# horizon spans), then a seeded DES run through the pbc CLI with a
-# replay check.
+# trace hashes and fault schedules, the lazy-schedule allocation bounds
+# (a run's fault schedule costs what the run reaches, not what its
+# horizon spans), and the fast engine's in-flight state bound (a longer
+# trace costs its arrival records, not a record per job), then a seeded
+# DES run through the pbc CLI with a replay check.
 dessmoke:
-	$(GO) test -race -run 'TestGoldenEquivalence|TestReplayDeterminism|TestTraceHashGolden|TestFaultScheduleAllocBounded' -count=1 ./internal/des
+	$(GO) test -race -run 'TestGoldenEquivalence|TestReplayDeterminism|TestTraceHashGolden|TestFaultScheduleAllocBounded|TestFastStateBoundedByInFlight' -count=1 ./internal/des
 	$(GO) test -race -run 'TestScheduleGolden|TestOutageStreamMatchesSortedSchedule|TestStreamAllocIndependentOfHorizon' -count=1 ./internal/faults
 	$(GO) run -race ./cmd/pbc des -nodes 64 -horizon 600 -seed 7 \
 		-arrival-spec "rate=0.2,burst=2,units=2e12" \

@@ -15,8 +15,12 @@
 //   - the fast engine indexes completions in a binary heap keyed by
 //     absolute virtual time with lazy deletion and caches admission
 //     decisions, trading byte-identity with the round loop for
-//     event-throughput at scale. It is still fully deterministic: the
-//     same seed replays the same trace hash, bit for bit.
+//     event-throughput at scale. Per-job records exist only for jobs in
+//     flight, in a free-listed slot pool; a queued job is just its entry
+//     in the arrival trace, so a run's state beyond the trace is bounded
+//     by what is in flight, not by the trace's length. It is still fully
+//     deterministic: the same seed replays the same trace hash, bit for
+//     bit.
 package des
 
 import (
@@ -207,12 +211,33 @@ type jobArrival struct {
 	units float64
 }
 
+// expectedJobs sizes the arrival trace over [0, horizon): the expected
+// event count, the integral of rateAt, times the mean burst, plus four
+// standard deviations of the compound count, capped at maxJobs. It is
+// a capacity hint only; a trace that outgrows it falls back to append.
+func (sp ArrivalSpec) expectedJobs(horizon float64, maxJobs int) int {
+	events := sp.Rate * horizon
+	if sp.Diurnal > 0 {
+		p := sp.period()
+		events += sp.Rate * sp.Diurnal * p / (2 * math.Pi) * (1 - math.Cos(2*math.Pi*horizon/p))
+	}
+	// Bursts are geometric with mean b and variance b(b-1), so the job
+	// count has mean events*b and variance events*b*(2b-1).
+	b := math.Max(sp.Burst, 1)
+	n := events*b + 4*math.Sqrt(events*b*(2*b-1)) + 16
+	if n >= float64(maxJobs) {
+		return maxJobs
+	}
+	return int(n)
+}
+
 // generateArrivals materializes the arrival trace for [0, horizon):
 // nonhomogeneous Poisson event times by thinning against the peak rate
 // Rate*(1+Diurnal), geometric burst sizes, and uniform job sizing. Each
 // random dimension consumes its own forked stream keyed off seed, so
 // e.g. changing the burst mean cannot shift event times. maxJobs bounds
-// the trace; generation stops (without error) once reached.
+// the trace; generation stops (without error) once reached. The trace is
+// allocated once, at the capacity expectedJobs gives it.
 func generateArrivals(sp ArrivalSpec, seed uint64, horizon float64, maxJobs int) []jobArrival {
 	if sp.Zero() || horizon <= 0 || maxJobs <= 0 {
 		return nil
@@ -224,16 +249,22 @@ func generateArrivals(sp ArrivalSpec, seed uint64, horizon float64, maxJobs int)
 	sizes := root.Fork("des.arrival.size")
 
 	lamMax := sp.Rate * (1 + sp.Diurnal)
+	// lamMin sits a hair below the lowest modulated rate, Rate*(1-Diurnal),
+	// farther than any rounding in rateAt can reach: a thinning draw at or
+	// under it is kept without evaluating the sine.
+	lamMin := sp.Rate * (1 - sp.Diurnal) * (1 - 1e-9)
 	mean := sp.meanUnits()
-	var out []jobArrival
+	out := make([]jobArrival, 0, sp.expectedJobs(horizon, maxJobs))
 	t := 0.0
 	for len(out) < maxJobs {
 		t += times.Exp(1 / lamMax)
 		if t >= horizon {
 			break
 		}
-		if sp.Diurnal > 0 && thin.Float64()*lamMax > sp.rateAt(t) {
-			continue // thinned: the modulated rate is below the peak here
+		if sp.Diurnal > 0 {
+			if u := thin.Float64() * lamMax; u > lamMin && u > sp.rateAt(t) {
+				continue // thinned: the modulated rate is below the peak here
+			}
 		}
 		n := burst.Geometric(sp.Burst)
 		for i := 0; i < n && len(out) < maxJobs; i++ {

@@ -18,7 +18,7 @@ import (
 // cluster demo uses.
 const goldenFaultSpec = "node.mtbf=45,node.mttr=30,shock.mtbs=60,shock.frac=0.25,shock.len=10"
 
-func testSched(t *testing.T, n int) (*cluster.Scheduler, workload.Workload) {
+func testSched(t testing.TB, n int) (*cluster.Scheduler, workload.Workload) {
 	t.Helper()
 	p, err := hw.PlatformByName("ivybridge")
 	if err != nil {

@@ -21,7 +21,9 @@ const (
 	ModeExact Mode = iota
 	// ModeFast indexes completions in a min-heap keyed by absolute
 	// virtual time and caches admission decisions; built for 10k-node,
-	// million-job traces with streaming stats. Deterministic, but not
+	// million-job traces with streaming stats. Per-job records exist only
+	// for jobs in flight (admitted, or evicted and awaiting readmission);
+	// queued jobs are read from the arrival trace. Deterministic, but not
 	// byte-identical to the round loop.
 	ModeFast
 )
@@ -182,27 +184,49 @@ func newTraceHash() traceHash {
 	return traceHash{h: 0xCBF29CE484222325}
 }
 
+// FNV-1a's 64-bit prime, and its fourth power mod 2^64: folding four
+// zero bytes is four multiplies by the prime (XOR with zero is a no-op),
+// so one multiply by fnvPrime4 hashes them in a single step.
+const (
+	fnvPrime  = 0x100000001B3
+	fnvPrime4 = 0x9FFAAC085635BC91
+)
+
 func (t *traceHash) word(v uint64) {
 	for i := 0; i < 8; i++ {
 		t.h ^= v & 0xFF
-		t.h *= 0x100000001B3
+		t.h *= fnvPrime
 		v >>= 8
 	}
 }
 
+// index hashes a job or node index widened to a uint64 word: the four
+// low bytes bytewise, then the four zero high bytes in one multiply.
+func (t *traceHash) index(v int32) {
+	u := uint32(v)
+	for i := 0; i < 4; i++ {
+		t.h ^= uint64(u & 0xFF)
+		t.h *= fnvPrime
+		u >>= 8
+	}
+	t.h *= fnvPrime4
+}
+
+// event hashes the bytes of (time bits, kind, uint64(uint32(job)),
+// uint64(uint32(node))), little-endian, exactly as bytewise FNV-1a would.
 func (t *traceHash) event(at float64, kind byte, job, node int32) {
 	t.word(math.Float64bits(at))
 	t.h ^= uint64(kind)
-	t.h *= 0x100000001B3
-	t.word(uint64(uint32(job)))
-	t.word(uint64(uint32(node)))
+	t.h *= fnvPrime
+	t.index(job)
+	t.index(node)
 }
 
 // agg holds the streaming per-completion statistics both engines share.
 type agg struct {
-	completed          int
-	waitSum, turnSum   float64
-	maxSlowdown        float64
+	completed        int
+	waitSum, turnSum float64
+	maxSlowdown      float64
 }
 
 // finish folds one job completion into the aggregates.

@@ -3,87 +3,105 @@ package des
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/cluster"
 	"repro/internal/units"
 )
 
-// Job states in the fast engine.
-const (
-	stateWaiting = iota
-	stateActive
-	stateDone
-)
-
-// fastJob is one job's compact record: no strings, no per-job maps, so
-// million-job traces stay cache- and memory-friendly.
+// fastJob is the record of one job in flight: no strings, no per-job
+// maps, so it stays cache-friendly. Records live in a free-listed slot
+// pool: a slot is taken when a job is first admitted and released when
+// it completes, so the pool is as large as the peak number of jobs in
+// flight, not the trace. Queued jobs have no record.
 type fastJob struct {
 	units      float64 // remaining work as of the last (re)admission
 	arrival    float64
-	firstStart float64 // -1 until first admission
+	firstStart float64
 	started    float64
 	doneT      float64 // absolute completion time while active
 	budget     units.Power
 	power      units.Power
 	rate       float64
+	id         int32 // arrival-order index, as the trace hash names the job
 	node       int32
-	gen        uint32 // bumped on eviction; stale heap/order entries miss
-	state      uint8
+	gen        uint32 // bumped on eviction and completion; stale heap/order entries miss
 }
 
 // heapItem is one pending completion, keyed by absolute virtual time
-// with an insertion sequence as the deterministic tiebreak.
+// with an insertion sequence as the deterministic tiebreak. The time is
+// stored as its float64 bits: completion times are never negative, and
+// the bits of non-negative floats order exactly as the floats do.
 type heapItem struct {
-	t   float64
-	seq uint64
-	job int32
-	gen uint32
+	tbits uint64
+	seq   uint64
+	slot  int32
+	gen   uint32
+}
+
+func (it *heapItem) t() float64 { return math.Float64frombits(it.tbits) }
+
+// before is 1 if a pops before b and 0 otherwise: (t, seq) compared as
+// one 128-bit integer by a subtract-with-borrow, with no branch to
+// mispredict. (t, seq) is a total order, since seq is unique.
+func (a *heapItem) before(b *heapItem) uint64 {
+	_, borrow := bits.Sub64(a.seq, b.seq, 0)
+	_, borrow = bits.Sub64(a.tbits, b.tbits, borrow)
+	return borrow
 }
 
 type doneHeap []heapItem
 
-func (h doneHeap) less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
-	}
-	return h[i].seq < h[j].seq
-}
-
 func (h *doneHeap) push(it heapItem) {
 	*h = append(*h, it)
-	i := len(*h) - 1
+	s := *h
+	i := len(s) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !h.less(i, parent) {
+		if it.before(&s[parent]) == 0 {
 			break
 		}
-		(*h)[i], (*h)[parent] = (*h)[parent], (*h)[i]
+		s[i] = s[parent]
 		i = parent
 	}
+	s[i] = it
 }
 
+// pop removes the minimum with Floyd's bottom-up method: the hole left
+// at the root walks down to a leaf along the smaller children, one
+// comparison per level, then the former last item sifts up from there.
+// It usually settles near the bottom, so this makes about half the
+// comparisons of the textbook sift-down.
 func (h *doneHeap) pop() heapItem {
-	old := *h
-	top := old[0]
-	n := len(old) - 1
-	old[0] = old[n]
-	*h = old[:n]
+	s := *h
+	top := s[0]
+	n := len(s) - 1
+	last := s[n]
+	s = s[:n]
+	*h = s
+	if n == 0 {
+		return top
+	}
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && (*h).less(l, small) {
-			small = l
-		}
-		if r < n && (*h).less(r, small) {
-			small = r
-		}
-		if small == i {
+		c := 2*i + 1
+		if c+1 < n {
+			c += int(s[c+1].before(&s[c]))
+		} else if c >= n {
 			break
 		}
-		(*h)[i], (*h)[small] = (*h)[small], (*h)[i]
-		i = small
+		s[i] = s[c]
+		i = c
 	}
+	for i > 0 {
+		parent := (i - 1) / 2
+		if last.before(&s[parent]) == 0 {
+			break
+		}
+		s[i] = s[parent]
+		i = parent
+	}
+	s[i] = last
 	return top
 }
 
@@ -96,22 +114,44 @@ type probeVal struct {
 	rate   float64
 }
 
-type probeKey struct {
-	plat int
-	pool uint64 // float64 bits of the pool at probe time
-}
-
-// maxProbeCache bounds the admission cache; past it the cache resets
-// (pathological pool-value churn) rather than growing without bound.
+// maxProbeCache bounds each platform class's admission cache, keyed by
+// the float64 bits of the pool at probe time; past it the class's cache
+// resets (pathological pool-value churn) rather than growing without
+// bound.
 const maxProbeCache = 1 << 16
 
 // admEntry is one admission, in order, for most-recently-started
 // eviction scans. Entries whose job was since completed or evicted are
-// skipped lazily via the state/gen check.
+// stale: their gen no longer matches the slot's.
 type admEntry struct {
-	job int32
-	gen uint32
+	slot int32
+	gen  uint32
 }
+
+// slotPool holds the records of the jobs in flight. Released slots go on
+// a free list and are reused before the pool grows.
+type slotPool struct {
+	jobs []fastJob
+	free []int32
+}
+
+// take returns a slot for a newly admitted job. A reused slot keeps its
+// gen, so entries naming the slot's previous occupant stay stale.
+func (p *slotPool) take() int32 {
+	if n := len(p.free); n > 0 {
+		s := p.free[n-1]
+		p.free = p.free[:n-1]
+		return s
+	}
+	p.jobs = append(p.jobs, fastJob{})
+	return int32(len(p.jobs) - 1)
+}
+
+func (p *slotPool) release(s int32) { p.free = append(p.free, s) }
+
+// live reports whether a heap or order entry still names the slot's
+// current admission.
+func (p *slotPool) live(slot int32, gen uint32) bool { return p.jobs[slot].gen == gen }
 
 // runFast executes the simulation with a completion heap and admission
 // caching. It keeps the round loop's semantics — admission through the
@@ -145,34 +185,33 @@ func runFast(cfg Config, arrs []jobArrival) (Result, error) {
 		free[classOf[i]] = append(free[classOf[i]], int32(i))
 	}
 	down := make([]bool, len(s.Nodes))
-	nodeJob := make([]int32, len(s.Nodes))
+	nodeJob := make([]int32, len(s.Nodes)) // slot running on the node, or -1
 	for i := range nodeJob {
 		nodeJob[i] = -1
 	}
 
-	// Jobs: cfg.Jobs arrive at t=0 ahead of the generated trace, so job
-	// index order IS arrival order and the FIFO queue can be an index
-	// cursor instead of a deque.
-	jobs := make([]fastJob, 0, len(cfg.Jobs)+len(arrs))
+	// Jobs are named by arrival order: cfg.Jobs arrive at t=0 ahead of
+	// the generated trace, so job id i < len(cfg.Jobs) is cfg.Jobs[i] and
+	// the rest index arrs. The FIFO queue is an id cursor into that order
+	// and needs no per-job state; a job gets a slot when first admitted.
+	nPre := len(cfg.Jobs)
+	var totalUnits float64
 	for _, j := range cfg.Jobs {
 		if j.Units <= 0 {
 			return out, fmt.Errorf("cluster: job %q has non-positive work", j.ID)
 		}
-		jobs = append(jobs, fastJob{units: j.Units, firstStart: -1, node: -1})
+		totalUnits += j.Units
 	}
 	for _, a := range arrs {
-		jobs = append(jobs, fastJob{units: a.units, arrival: a.at, firstStart: -1, node: -1})
+		totalUnits += a.units
 	}
-	out.Arrived = len(jobs)
-	qHead, qArrived := 0, len(cfg.Jobs) // FIFO window [qHead, qArrived)
-	var readmit []int32                 // evictions re-enter here, LIFO like the round loop's head prepend
+	out.Arrived = nPre + len(arrs)
+	qHead, qArrived := 0, nPre // FIFO window of ids [qHead, qArrived)
+	var readmit []int32        // evicted slots re-enter here, LIFO like the round loop's head prepend
+	var slots slotPool
 
 	// Fault schedules over the same horizon as the round loop, drawn
 	// lazily; outage ties break by node index.
-	var totalUnits float64
-	for i := range jobs {
-		totalUnits += jobs[i].units
-	}
 	horizon := cluster.FaultHorizon(totalUnits)
 	ids := make([]string, len(s.Nodes))
 	for i, n := range s.Nodes {
@@ -195,11 +234,15 @@ func runFast(cfg Config, arrs []jobArrival) (Result, error) {
 		}
 	}
 
-	probeCache := map[probeKey]probeVal{}
+	probeCache := make([]map[uint64]probeVal, len(protoNodes))
+	for i := range probeCache {
+		probeCache[i] = map[uint64]probeVal{}
+	}
 	probeJob := []cluster.TimedJob{{Job: cluster.Job{ID: "probe", Workload: cfg.Workload}, Units: 1}}
 	probe := func(class int, pool units.Power) (probeVal, error) {
-		key := probeKey{plat: class, pool: math.Float64bits(pool.Watts())}
-		if v, ok := probeCache[key]; ok {
+		cache := probeCache[class]
+		key := math.Float64bits(pool.Watts())
+		if v, ok := cache[key]; ok {
 			return v, nil
 		}
 		var scratch cluster.QueueResult
@@ -213,10 +256,11 @@ func runFast(cfg Config, arrs []jobArrival) (Result, error) {
 			r := active[0]
 			v = probeVal{ok: true, budget: r.Budget, power: r.Power, rate: r.Rate}
 		}
-		if len(probeCache) >= maxProbeCache {
-			probeCache = map[probeKey]probeVal{}
+		if len(cache) >= maxProbeCache {
+			cache = map[uint64]probeVal{}
+			probeCache[class] = cache
 		}
-		probeCache[key] = v
+		cache[key] = v
 		return v, nil
 	}
 
@@ -233,10 +277,8 @@ func runFast(cfg Config, arrs []jobArrival) (Result, error) {
 	// completion time (Inf when none).
 	peekDone := func() float64 {
 		for len(heap) > 0 {
-			top := heap[0]
-			jb := &jobs[top.job]
-			if jb.state == stateActive && jb.gen == top.gen {
-				return top.t
+			if top := &heap[0]; slots.live(top.slot, top.gen) {
+				return top.t()
 			}
 			heap.pop()
 		}
@@ -260,14 +302,7 @@ func runFast(cfg Config, arrs []jobArrival) (Result, error) {
 	// so if the head job cannot start now, none behind it can either —
 	// the admission pass is O(classes), not O(queue).
 	admitOne := func() (bool, error) {
-		var j int32
-		fromReadmit := false
-		if n := len(readmit); n > 0 {
-			j = readmit[n-1]
-			fromReadmit = true
-		} else if qHead < qArrived {
-			j = int32(qHead)
-		} else {
+		if len(readmit) == 0 && qHead == qArrived {
 			return false, nil
 		}
 		for class := range free {
@@ -289,28 +324,48 @@ func runFast(cfg Config, arrs []jobArrival) (Result, error) {
 			}
 			node := st[len(st)-1]
 			free[class] = st[:len(st)-1]
-			if fromReadmit {
-				readmit = readmit[:len(readmit)-1]
+			var slot int32
+			if n := len(readmit); n > 0 {
+				slot = readmit[n-1]
+				readmit = readmit[:n-1]
 			} else {
+				slot = slots.take()
+				id := qHead
 				qHead++
+				jb := &slots.jobs[slot]
+				jb.id = int32(id)
+				jb.firstStart = now
+				if id < nPre {
+					jb.units, jb.arrival = cfg.Jobs[id].Units, 0
+				} else {
+					a := &arrs[id-nPre]
+					jb.units, jb.arrival = a.units, a.at
+				}
 			}
-			jb := &jobs[j]
-			jb.state = stateActive
+			jb := &slots.jobs[slot]
 			jb.node = node
 			jb.started = now
-			if jb.firstStart < 0 {
-				jb.firstStart = now
-			}
 			jb.budget, jb.power, jb.rate = v.budget, v.power, v.rate
 			jb.doneT = now + jb.units/v.rate
 			pool -= v.budget
 			committed += v.budget
-			nodeJob[node] = j
+			nodeJob[node] = slot
 			seq++
-			heap.push(heapItem{t: jb.doneT, seq: seq, job: j, gen: jb.gen})
-			admOrder = append(admOrder, admEntry{job: j, gen: jb.gen})
+			heap.push(heapItem{tbits: math.Float64bits(jb.doneT), seq: seq, slot: slot, gen: jb.gen})
+			admOrder = append(admOrder, admEntry{slot: slot, gen: jb.gen})
 			activeCount++
-			hash.event(now, evStart, j, node)
+			if len(admOrder) > 2*activeCount+64 {
+				// Drop stale entries, order kept, so the log stays
+				// proportional to the jobs in flight.
+				kept := admOrder[:0]
+				for _, e := range admOrder {
+					if slots.live(e.slot, e.gen) {
+						kept = append(kept, e)
+					}
+				}
+				admOrder = kept
+			}
+			hash.event(now, evStart, jb.id, node)
 			return true, nil
 		}
 		return false, nil
@@ -327,8 +382,8 @@ func runFast(cfg Config, arrs []jobArrival) (Result, error) {
 		}
 	}
 
-	evictJob := func(j int32, keepNode bool) {
-		jb := &jobs[j]
+	evictJob := func(slot int32, keepNode bool) {
+		jb := &slots.jobs[slot]
 		rem := (jb.doneT - now) * jb.rate
 		if rem < 0 {
 			rem = 0
@@ -344,12 +399,11 @@ func runFast(cfg Config, arrs []jobArrival) (Result, error) {
 		if keepNode {
 			free[classOf[node]] = append(free[classOf[node]], node)
 		}
-		jb.state = stateWaiting
 		jb.gen++
 		jb.node = -1
 		activeCount--
-		readmit = append(readmit, j)
-		hash.event(now, evSuspend, j, node)
+		readmit = append(readmit, slot)
+		hash.event(now, evSuspend, jb.id, node)
 	}
 
 	// t=0 admission, mirroring the round loop's pre-loop pass: a queue
@@ -409,8 +463,8 @@ func runFast(cfg Config, arrs []jobArrival) (Result, error) {
 			down[node] = true
 			faultSum.NodeFailures++
 			hash.event(now, evNodeFail, -1, node)
-			if j := nodeJob[node]; j >= 0 {
-				evictJob(j, false)
+			if slot := nodeJob[node]; slot >= 0 {
+				evictJob(slot, false)
 			} else {
 				removeFree(node)
 			}
@@ -434,9 +488,7 @@ func runFast(cfg Config, arrs []jobArrival) (Result, error) {
 				// order log from the tail, skipping stale entries.
 				for pool < 0 && activeCount > 0 {
 					for len(admOrder) > 0 {
-						e := admOrder[len(admOrder)-1]
-						jb := &jobs[e.job]
-						if jb.state == stateActive && jb.gen == e.gen {
+						if e := admOrder[len(admOrder)-1]; slots.live(e.slot, e.gen) {
 							break
 						}
 						admOrder = admOrder[:len(admOrder)-1]
@@ -446,7 +498,7 @@ func runFast(cfg Config, arrs []jobArrival) (Result, error) {
 					}
 					e := admOrder[len(admOrder)-1]
 					admOrder = admOrder[:len(admOrder)-1]
-					evictJob(e.job, true)
+					evictJob(e.slot, true)
 				}
 			} else {
 				hash.event(now, evRestore, -1, -1)
@@ -471,21 +523,21 @@ func runFast(cfg Config, arrs []jobArrival) (Result, error) {
 
 		default:
 			it := heap.pop()
-			jb := &jobs[it.job]
-			if it.t > now {
-				now = it.t
+			jb := &slots.jobs[it.slot]
+			if t := it.t(); t > now {
+				now = t
 			}
-			jb.state = stateDone
 			energy += units.Energy(jb.power.Watts() * (now - jb.started))
 			stats.finish(jb.arrival, jb.firstStart, now)
 			pool += jb.budget
 			committed -= jb.budget
 			node := jb.node
 			nodeJob[node] = -1
-			jb.node = -1
+			jb.gen++
 			free[classOf[node]] = append(free[classOf[node]], node)
 			activeCount--
-			hash.event(now, evFinish, it.job, node)
+			hash.event(now, evFinish, jb.id, node)
+			slots.release(it.slot)
 			if err := admit(); err != nil {
 				return out, err
 			}
