@@ -1,17 +1,18 @@
 // Package des is a deterministic discrete-event traffic simulator for
-// power-bounded clusters. It drives the same admission machinery the
-// round-loop queue engines in internal/cluster use (Scheduler.AdmitWaiting
-// and the RunningJob progress state), adds a seeded open-arrival process
+// power-bounded clusters. It drives the admission machinery of the
+// round loop in internal/cluster (Scheduler.RunLoop and its admission
+// pass, Scheduler.AdmitWaiting), adds a seeded open-arrival process
 // (bursty, optionally diurnal), time-varying budget shocks and node
 // outages reused from internal/faults, and scales to tens of thousands
 // of nodes and millions of jobs with streaming statistics.
 //
 // The simulator has two engines:
 //
-//   - the exact engine mirrors the cluster round loop operation for
-//     operation, so a run whose jobs all arrive at t=0 reproduces
-//     Scheduler.RunQueueOpts / RunQueueFaulty byte for byte (the golden
-//     equivalence the tests pin);
+//   - the exact engine is the cluster round loop itself, fed the
+//     arrival trace through its arrival cursor and observed for the
+//     trace hash and streaming stats, so a run whose jobs all arrive at
+//     t=0 reproduces Scheduler.RunQueueOpts / RunQueueFaulty byte for
+//     byte;
 //   - the fast engine indexes completions in a binary heap keyed by
 //     absolute virtual time with lazy deletion and caches admission
 //     decisions, trading byte-identity with the round loop for
