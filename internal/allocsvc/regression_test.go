@@ -224,3 +224,25 @@ func TestOversizeBinaryResponse413(t *testing.T) {
 		t.Fatalf("frame code = %d, want 413", e.Code)
 	}
 }
+
+// TestScheduleDuplicateJobIDs: a /v1/schedule queue whose jobs share an
+// ID answers as if the IDs were distinct: each job runs its own
+// workload (the dgemm job is not simulated as the stream job before it).
+func TestScheduleDuplicateJobIDs(t *testing.T) {
+	_, srv := newTestService(t, Config{Workers: 2})
+	const req = `{"budget_watts":600,` +
+		`"nodes":[{"id":"n1","platform":"ivybridge"},{"id":"n2","platform":"ivybridge"}],` +
+		`"jobs":[{"id":"j","workload":"stream"},{"id":"%s","workload":"dgemm"}]}`
+	resp, dup := post(t, srv, RouteSchedule, fmt.Sprintf(req, "j"))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("shared IDs: status %d: %s", resp.StatusCode, dup)
+	}
+	resp, uniq := post(t, srv, RouteSchedule, fmt.Sprintf(req, "k"))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("distinct IDs: status %d: %s", resp.StatusCode, uniq)
+	}
+	want := strings.Replace(string(uniq), `"job":"k"`, `"job":"j"`, 1)
+	if string(dup) != want {
+		t.Errorf("shared job IDs change the answer:\n got %s\nwant %s", dup, want)
+	}
+}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/hw"
@@ -285,5 +286,30 @@ func TestProfileCaching(t *testing.T) {
 	}
 	if len(s.profiles) != 1 {
 		t.Errorf("profile cache has %d entries, want 1 (same platform+workload)", len(s.profiles))
+	}
+}
+
+// TestScheduleDuplicateJobIDs: two queued jobs that share an ID each run
+// their own workload, so the round's placements match those of the same
+// queue with distinct IDs.
+func TestScheduleDuplicateJobIDs(t *testing.T) {
+	round := func(secondID string) Outcome {
+		s, err := NewScheduler(600, nodes(t, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := s.Schedule([]Job{job(t, "j", "stream"), job(t, secondID, "dgemm")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	dup, uniq := round("j"), round("k")
+	if len(dup.Placements) != 2 || len(uniq.Placements) != 2 {
+		t.Fatalf("placements: %d with a shared ID, %d without, want 2", len(dup.Placements), len(uniq.Placements))
+	}
+	dup.Placements[1].JobID = "k"
+	if !reflect.DeepEqual(dup, uniq) {
+		t.Errorf("shared job IDs change the round:\n got %+v\nwant %+v", dup, uniq)
 	}
 }
